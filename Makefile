@@ -30,11 +30,13 @@ GOVULNCHECK_VERSION ?= v1.1.3
 # The scaling ladders `make bench` runs: per-epoch cost at CitySee scale,
 # the worker sweep, end-to-end trace generation at 60/120/286/1000 nodes,
 # the blocked-GEMM size ladder, the ingest decode ladder (JSON vs binary
-# vs binary+delta at 1/8/64-report batches), and the cluster router
-# forward ladder (JSON and binary, 1/4 shards x 8/64-report batches).
-BENCH_PATTERN ?= BenchmarkSimulatorEpoch|BenchmarkWSNStepParallel|BenchmarkCitySeeTraining|BenchmarkGEMM|BenchmarkIngestDecode|BenchmarkRouterForward
+# vs binary+delta at 1/8/64-report batches), the cluster router
+# forward ladder (JSON and binary, 1/4 shards x 8/64-report batches), and
+# NNLS diagnosis (single state, the batch worker ladder, and the solver
+# ablation with its iterations and KKT violation).
+BENCH_PATTERN ?= BenchmarkSimulatorEpoch|BenchmarkWSNStepParallel|BenchmarkCitySeeTraining|BenchmarkGEMM|BenchmarkIngestDecode|BenchmarkRouterForward|BenchmarkDiagnoseSingle|BenchmarkDiagnoseBatchParallel|BenchmarkAblationNNLS
 BENCH_TXT     ?= bench.txt
-BENCH_JSON    ?= BENCH_10.json
+BENCH_JSON    ?= BENCH_12.json
 
 # benchdiff inputs: two benchstat-compatible texts to compare.
 BENCH_OLD ?= bench.old.txt
@@ -139,11 +141,13 @@ bench-all:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # benchdiff compares two bench runs with benchstat when it is on PATH and
-# skips gracefully when it is not, mirroring the lint policy. Typical use:
+# falls back to benchjson's single-sample table when it is not (offline
+# machines). Typical use:
 #   cp bench.txt bench.old.txt && <change code> && make bench benchdiff
 benchdiff:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat $(BENCH_OLD) $(BENCH_NEW); \
 	else \
-		echo "benchdiff: benchstat not found; skipping (go install golang.org/x/perf/cmd/benchstat@$(BENCHSTAT_VERSION))"; \
+		echo "benchdiff: benchstat not found; single-sample table (go install golang.org/x/perf/cmd/benchstat@$(BENCHSTAT_VERSION))"; \
+		$(GO) run ./cmd/benchjson -diff $(BENCH_OLD) $(BENCH_NEW); \
 	fi

@@ -9,7 +9,13 @@
 //	go run ./cmd/benchjson -o BENCH_2.json bench.txt
 //
 // With no file argument the tool reads stdin, so it also works as the tail
-// of a pipe.
+// of a pipe. With -diff it reads two such texts and prints, for every
+// benchmark in both, the old and new ns/op and allocs/op and the change:
+//
+//	go run ./cmd/benchjson -diff bench.old.txt bench.txt
+//
+// This is the offline stand-in for benchstat: one sample per side (the
+// last, when a text repeats a benchmark) and no significance test.
 package main
 
 import (
@@ -21,6 +27,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 )
 
 // Benchmark is one result line.
@@ -51,7 +58,26 @@ type Report struct {
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
+	diffMode := flag.Bool("diff", false, "compare two bench texts: -diff old.txt new.txt")
 	flag.Parse()
+
+	if *diffMode {
+		if flag.NArg() != 2 {
+			fatal(fmt.Errorf("-diff takes two files, got %d", flag.NArg()))
+		}
+		old, err := parseFile(flag.Arg(0))
+		if err != nil {
+			fatal(err)
+		}
+		cur, err := parseFile(flag.Arg(1))
+		if err != nil {
+			fatal(err)
+		}
+		if err := diff(os.Stdout, old, cur); err != nil {
+			fatal(err)
+		}
+		return
+	}
 
 	in := os.Stdin
 	if flag.NArg() > 0 {
@@ -83,6 +109,48 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "benchjson:", err)
 	os.Exit(1)
+}
+
+func parseFile(path string) (*Report, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return parse(f)
+}
+
+// diff writes one row per benchmark of cur that old also has, in cur's
+// order: ns/op and allocs/op on both sides and the relative ns/op change.
+func diff(w io.Writer, old, cur *Report) error {
+	type key struct {
+		name  string
+		procs int
+	}
+	prev := make(map[key]Benchmark, len(old.Benchmarks))
+	for _, b := range old.Benchmarks {
+		prev[key{b.Name, b.Procs}] = b
+	}
+	allocs := func(b Benchmark) string {
+		if b.AllocsPerOp == nil {
+			return "-"
+		}
+		return strconv.FormatFloat(*b.AllocsPerOp, 'f', -1, 64)
+	}
+	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "name\tprocs\told ns/op\tnew ns/op\tdelta\told allocs/op\tnew allocs/op")
+	for _, b := range cur.Benchmarks {
+		o, ok := prev[key{b.Name, b.Procs}]
+		if !ok {
+			continue
+		}
+		delta := "~"
+		if o.NsPerOp > 0 {
+			delta = fmt.Sprintf("%+.1f%%", 100*(b.NsPerOp-o.NsPerOp)/o.NsPerOp)
+		}
+		fmt.Fprintf(tw, "%s\t%d\t%.4g\t%.4g\t%s\t%s\t%s\n", b.Name, b.Procs, o.NsPerOp, b.NsPerOp, delta, allocs(o), allocs(b))
+	}
+	return tw.Flush()
 }
 
 // parse reads `go test -bench` text and extracts the header and every

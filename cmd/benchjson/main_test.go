@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -71,5 +72,33 @@ func TestParseLineSkipsNonResultLines(t *testing.T) {
 	_, ok, err := parseLine("BenchmarkX/logging_something_odd")
 	if err != nil || ok {
 		t.Errorf("want silent skip, got ok=%v err=%v", ok, err)
+	}
+}
+
+func TestDiff(t *testing.T) {
+	old, err := parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := parse(strings.NewReader(`BenchmarkOnlyNew-8  10  5 ns/op
+BenchmarkSimulatorEpoch-8  1350  437903 ns/op  49495 B/op  1000 allocs/op
+BenchmarkCitySeeTraining/nodes60/seq  2  84318440 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := diff(&buf, old, cur); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("diff printed %d lines, want header + 2 shared benchmarks:\n%s", len(lines), buf.String())
+	}
+	if f := strings.Fields(lines[1]); f[0] != "BenchmarkSimulatorEpoch" || f[4] != "-50.0%" || f[5] != "1185" || f[6] != "1000" {
+		t.Errorf("simulator row = %q", lines[1])
+	}
+	if f := strings.Fields(lines[2]); f[0] != "BenchmarkCitySeeTraining/nodes60/seq" || f[4] != "+0.0%" || f[5] != "-" {
+		t.Errorf("training row = %q", lines[2])
 	}
 }

@@ -4,9 +4,11 @@
 //	argmin_w ‖s − wΨ‖²  subject to w ≥ 0
 //
 // where s is a 1×m node-state vector, Ψ is the r×m representative matrix and
-// w is the 1×r correlation-strength vector. Two solvers are provided: a
-// multiplicative-update solver (the natural companion of the NMF training
-// rule) and a projected-gradient solver. Both are deterministic.
+// w is the 1×r correlation-strength vector. The default solver is the exact
+// Lawson–Hanson active-set method in the Gram form of Bro & de Jong's FNNLS
+// (J. Chemometrics 1997); the multiplicative-update solver, the natural
+// companion of the NMF training rule, is kept as the paper-faithful
+// ablation. Both are deterministic.
 package nnls
 
 import (
@@ -21,22 +23,25 @@ import (
 type Solver int
 
 const (
+	// ActiveSet is the Lawson–Hanson active-set method on the Gram system
+	// G = ΨΨᵀ, b = Ψsᵀ (FNNLS). It terminates at the exact optimum: the
+	// returned w satisfies the KKT conditions to rounding error unless a
+	// row of Ψ lies within ~1e-6 (relative) of the span of others, where
+	// that row is skipped.
+	ActiveSet Solver = iota + 1
 	// Multiplicative uses the Lee–Seung style update
 	// w_j ← w_j (sΨᵀ)_j / (wΨΨᵀ)_j, which preserves non-negativity by
-	// construction.
-	Multiplicative Solver = iota + 1
-	// ProjectedGradient takes gradient steps with backtracking line search
-	// and projects onto the non-negative orthant.
-	ProjectedGradient
+	// construction but converges slowly and never revives a zero weight.
+	Multiplicative
 )
 
 // String implements fmt.Stringer.
 func (s Solver) String() string {
 	switch s {
+	case ActiveSet:
+		return "active-set"
 	case Multiplicative:
 		return "multiplicative"
-	case ProjectedGradient:
-		return "projected-gradient"
 	default:
 		return fmt.Sprintf("Solver(%d)", int(s))
 	}
@@ -49,18 +54,19 @@ const epsDiv = 1e-12
 
 // Config controls a solve.
 type Config struct {
-	// Solver selects the algorithm; defaults to Multiplicative.
+	// Solver selects the algorithm; defaults to ActiveSet.
 	Solver Solver
-	// MaxIter bounds iterations; defaults to 500.
+	// MaxIter bounds iterations; defaults to 500. For ActiveSet it bounds
+	// the outer steps, which an exact solve never reaches.
 	MaxIter int
-	// Tolerance stops when the objective improvement falls below it;
-	// defaults to 1e-9.
+	// Tolerance stops Multiplicative when the objective improvement falls
+	// below it; defaults to 1e-9. ActiveSet needs none.
 	Tolerance float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.Solver == 0 {
-		c.Solver = Multiplicative
+		c.Solver = ActiveSet
 	}
 	if c.MaxIter == 0 {
 		c.MaxIter = 500
@@ -77,7 +83,9 @@ type Result struct {
 	W []float64
 	// Residual is ‖s − wΨ‖₂ at the solution.
 	Residual float64
-	// Iterations performed.
+	// Iterations performed: multiplicative sweeps for Multiplicative; for
+	// ActiveSet, outer steps, each of which tries one column for the
+	// passive set.
 	Iterations int
 }
 
@@ -106,19 +114,20 @@ func gramOf(psi *mat.Dense) *mat.Dense {
 }
 
 // solveScratch is the reusable working set of one solver goroutine: the
-// linear term b = Ψsᵀ, the gradient, and the residual's difference vector.
-// Batch solves allocate one per worker instead of fresh slices per row.
+// linear term b = Ψsᵀ, the residual's difference vector, and the active-set
+// state. Batch solves allocate one per worker instead of fresh slices per
+// row.
 type solveScratch struct {
 	b    []float64 // length r: Ψsᵀ for the current row
-	grad []float64 // length r
 	diff []float64 // length m: s − wΨ for the residual
+	as   activeSet
 }
 
 func newSolveScratch(r, m int) *solveScratch {
 	return &solveScratch{
 		b:    make([]float64, r),
-		grad: make([]float64, r),
 		diff: make([]float64, m),
+		as:   newActiveSet(r),
 	}
 }
 
@@ -161,10 +170,11 @@ func residualWith(diff, s, w []float64, psi *mat.Dense) float64 {
 func solveWith(w, s []float64, psi, g *mat.Dense, sc *solveScratch, cfg Config) (float64, int) {
 	sc.fillB(s, psi)
 	switch cfg.Solver {
-	case ProjectedGradient:
-		return solvePGInto(w, s, psi, g, sc, cfg)
-	default:
+	case Multiplicative:
 		return solveMUInto(w, s, psi, g, sc, cfg)
+	default:
+		iters := sc.as.solve(w, g, sc.b, cfg.MaxIter)
+		return residualWith(sc.diff, s, w, psi), iters
 	}
 }
 
@@ -189,48 +199,6 @@ func solveMUInto(w, s []float64, psi, g *mat.Dense, sc *solveScratch, cfg Config
 				den += gRow[k] * w[k]
 			}
 			w[i] *= num / (den + epsDiv)
-		}
-		iters = iter + 1
-		obj := residualWith(sc.diff, s, w, psi)
-		if !math.IsInf(prev, 1) && prev-obj <= cfg.Tolerance*math.Max(prev, 1) {
-			break
-		}
-		prev = obj
-	}
-	return residualWith(sc.diff, s, w, psi), iters
-}
-
-func solvePGInto(w, s []float64, psi, g *mat.Dense, sc *solveScratch, cfg Config) (float64, int) {
-	r := len(w)
-	// Lipschitz constant of the gradient is bounded by the trace of G.
-	var lip float64
-	for i := 0; i < r; i++ {
-		lip += g.At(i, i)
-	}
-	if lip <= 0 {
-		lip = 1
-	}
-	step := 1.0 / lip
-	for i := range w {
-		w[i] = 0
-	}
-	iters := 0
-	prev := math.Inf(1)
-	for iter := 0; iter < cfg.MaxIter; iter++ {
-		// ∇f(w) = 2(Gw − b); the constant 2 folds into the step size.
-		for i := 0; i < r; i++ {
-			gRow := g.RawRow(i)
-			var gw float64
-			for k := 0; k < r; k++ {
-				gw += gRow[k] * w[k]
-			}
-			sc.grad[i] = gw - sc.b[i]
-		}
-		for i := 0; i < r; i++ {
-			w[i] -= step * sc.grad[i]
-			if w[i] < 0 {
-				w[i] = 0
-			}
 		}
 		iters = iter + 1
 		obj := residualWith(sc.diff, s, w, psi)

@@ -1,4 +1,4 @@
-package nnls
+package nnls_test
 
 import (
 	"errors"
@@ -9,6 +9,8 @@ import (
 	"testing/quick"
 
 	"github.com/wsn-tools/vn2/internal/mat"
+	"github.com/wsn-tools/vn2/internal/nnls"
+	"github.com/wsn-tools/vn2/internal/nnls/nnlstest"
 )
 
 func randomBasis(t *testing.T, r, m int, seed int64) *mat.Dense {
@@ -32,20 +34,31 @@ func mix(w []float64, psi *mat.Dense) []float64 {
 	return s
 }
 
+// solveExact runs the default solver and certifies its answer.
+func solveExact(t *testing.T, s []float64, psi *mat.Dense) *nnls.Result {
+	t.Helper()
+	res, err := nnls.Solve(s, psi, nnls.Config{})
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	nnlstest.AssertKKT(t, psi, s, res.W)
+	return res
+}
+
 func TestSolveRecoversExactMixMU(t *testing.T) {
-	testRecovery(t, Multiplicative, 1e-3)
+	testRecovery(t, nnls.Multiplicative, 1e-3)
 }
 
-func TestSolveRecoversExactMixPG(t *testing.T) {
-	testRecovery(t, ProjectedGradient, 1e-3)
+func TestSolveRecoversExactMixActiveSet(t *testing.T) {
+	testRecovery(t, nnls.ActiveSet, 1e-12)
 }
 
-func testRecovery(t *testing.T, solver Solver, tol float64) {
+func testRecovery(t *testing.T, solver nnls.Solver, tol float64) {
 	t.Helper()
 	psi := randomBasis(t, 4, 20, 1)
 	want := []float64{2, 0, 0.5, 0}
 	s := mix(want, psi)
-	res, err := Solve(s, psi, Config{Solver: solver, MaxIter: 5000, Tolerance: 1e-14})
+	res, err := nnls.Solve(s, psi, nnls.Config{Solver: solver, MaxIter: 5000, Tolerance: 1e-14})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -56,6 +69,9 @@ func testRecovery(t *testing.T, solver Solver, tol float64) {
 		if res.W[i] < 0 {
 			t.Errorf("W[%d] = %v < 0", i, res.W[i])
 		}
+	}
+	if solver == nnls.ActiveSet {
+		nnlstest.AssertKKT(t, psi, s, res.W)
 	}
 }
 
@@ -70,8 +86,8 @@ func norm(v []float64) float64 {
 func TestSolveZeroState(t *testing.T) {
 	psi := randomBasis(t, 3, 10, 2)
 	s := make([]float64, 10)
-	for _, solver := range []Solver{Multiplicative, ProjectedGradient} {
-		res, err := Solve(s, psi, Config{Solver: solver})
+	for _, solver := range []nnls.Solver{nnls.ActiveSet, nnls.Multiplicative} {
+		res, err := nnls.Solve(s, psi, nnls.Config{Solver: solver})
 		if err != nil {
 			t.Fatalf("%v: %v", solver, err)
 		}
@@ -84,11 +100,21 @@ func TestSolveZeroState(t *testing.T) {
 			}
 		}
 	}
+	// The exact solver takes no step at all: w = 0 is optimal and certified.
+	res := solveExact(t, s, psi)
+	if res.Iterations != 0 || res.Residual != 0 {
+		t.Errorf("active set on s = 0: %d iterations, residual %v; want 0, 0", res.Iterations, res.Residual)
+	}
+	for i, w := range res.W {
+		if w != 0 {
+			t.Errorf("active set on s = 0: W[%d] = %v, want exactly 0", i, w)
+		}
+	}
 }
 
 func TestSolveShapeMismatch(t *testing.T) {
 	psi := randomBasis(t, 3, 10, 3)
-	if _, err := Solve(make([]float64, 5), psi, Config{}); !errors.Is(err, ErrShape) {
+	if _, err := nnls.Solve(make([]float64, 5), psi, nnls.Config{}); !errors.Is(err, nnls.ErrShape) {
 		t.Errorf("err = %v, want ErrShape", err)
 	}
 }
@@ -99,8 +125,8 @@ func TestSolveNonNegativeOnAdversarialState(t *testing.T) {
 	// return w ≥ 0.
 	psi := randomBasis(t, 3, 8, 4)
 	s := []float64{-5, -3, -1, 0, 1, -2, -4, -6}
-	for _, solver := range []Solver{Multiplicative, ProjectedGradient} {
-		res, err := Solve(s, psi, Config{Solver: solver, MaxIter: 500})
+	for _, solver := range []nnls.Solver{nnls.ActiveSet, nnls.Multiplicative} {
+		res, err := nnls.Solve(s, psi, nnls.Config{Solver: solver, MaxIter: 500})
 		if err != nil {
 			t.Fatalf("%v: %v", solver, err)
 		}
@@ -110,23 +136,38 @@ func TestSolveNonNegativeOnAdversarialState(t *testing.T) {
 			}
 		}
 	}
+	solveExact(t, s, psi)
 }
 
+// TestSolversAgree: the multiplicative ablation, run long, converges toward
+// the active-set optimum and never beats it.
 func TestSolversAgree(t *testing.T) {
 	psi := randomBasis(t, 5, 25, 5)
 	want := []float64{0, 1.5, 0, 3, 0.25}
 	s := mix(want, psi)
-	mu, err := Solve(s, psi, Config{Solver: Multiplicative, MaxIter: 20000, Tolerance: 1e-15})
-	if err != nil {
-		t.Fatalf("MU: %v", err)
+	exact := solveExact(t, s, psi)
+	dist := func(iters int) (float64, *nnls.Result) {
+		mu, err := nnls.Solve(s, psi, nnls.Config{Solver: nnls.Multiplicative, MaxIter: iters, Tolerance: 1e-15})
+		if err != nil {
+			t.Fatalf("MU: %v", err)
+		}
+		var d float64
+		for i := range mu.W {
+			d = math.Max(d, math.Abs(mu.W[i]-exact.W[i]))
+		}
+		return d, mu
 	}
-	pg, err := Solve(s, psi, Config{Solver: ProjectedGradient, MaxIter: 20000, Tolerance: 1e-15})
-	if err != nil {
-		t.Fatalf("PG: %v", err)
+	short, _ := dist(200)
+	long, mu := dist(20000)
+	if long >= short {
+		t.Errorf("multiplicative does not approach the optimum: max|Δw| %v after 200 sweeps, %v after 20000", short, long)
+	}
+	if mu.Residual < exact.Residual*(1-1e-12) {
+		t.Errorf("multiplicative residual %v beats the exact optimum %v", mu.Residual, exact.Residual)
 	}
 	for i := range mu.W {
-		if math.Abs(mu.W[i]-pg.W[i]) > 0.05*(1+math.Abs(want[i])) {
-			t.Errorf("solvers disagree at %d: MU=%v PG=%v want=%v", i, mu.W[i], pg.W[i], want[i])
+		if math.Abs(mu.W[i]-exact.W[i]) > 0.05*(1+math.Abs(want[i])) {
+			t.Errorf("solvers disagree at %d: MU=%v active-set=%v want=%v", i, mu.W[i], exact.W[i], want[i])
 		}
 	}
 }
@@ -134,8 +175,8 @@ func TestSolversAgree(t *testing.T) {
 func TestSolveDeterministic(t *testing.T) {
 	psi := randomBasis(t, 4, 12, 6)
 	s := mix([]float64{1, 2, 0, 0.5}, psi)
-	a, _ := Solve(s, psi, Config{})
-	b, _ := Solve(s, psi, Config{})
+	a, _ := nnls.Solve(s, psi, nnls.Config{})
+	b, _ := nnls.Solve(s, psi, nnls.Config{})
 	for i := range a.W {
 		if a.W[i] != b.W[i] {
 			t.Fatal("Solve is not deterministic")
@@ -155,7 +196,7 @@ func TestSolveBatch(t *testing.T) {
 	for i, w := range wants {
 		states.SetRow(i, mix(w, psi))
 	}
-	weights, residuals, err := SolveBatch(states, psi, Config{MaxIter: 3000, Tolerance: 1e-14})
+	weights, residuals, err := nnls.SolveBatch(states, psi, nnls.Config{MaxIter: 3000, Tolerance: 1e-14})
 	if err != nil {
 		t.Fatalf("SolveBatch: %v", err)
 	}
@@ -171,30 +212,32 @@ func TestSolveBatch(t *testing.T) {
 				t.Errorf("row %d: W[%d] = %v, want %v", i, j, weights.At(i, j), wv)
 			}
 		}
+		nnlstest.AssertKKT(t, psi, states.RawRow(i), weights.RawRow(i))
 	}
 }
 
 func TestSolveBatchShapeMismatch(t *testing.T) {
 	psi := randomBasis(t, 3, 10, 8)
-	if _, _, err := SolveBatch(mat.MustNew(2, 7), psi, Config{}); !errors.Is(err, ErrShape) {
+	if _, _, err := nnls.SolveBatch(mat.MustNew(2, 7), psi, nnls.Config{}); !errors.Is(err, nnls.ErrShape) {
 		t.Errorf("err = %v, want ErrShape", err)
 	}
 }
 
 func TestSolverString(t *testing.T) {
-	if Multiplicative.String() != "multiplicative" {
+	if nnls.ActiveSet.String() != "active-set" {
+		t.Error("ActiveSet.String mismatch")
+	}
+	if nnls.Multiplicative.String() != "multiplicative" {
 		t.Error("Multiplicative.String mismatch")
 	}
-	if ProjectedGradient.String() != "projected-gradient" {
-		t.Error("ProjectedGradient.String mismatch")
-	}
-	if Solver(9).String() != "Solver(9)" {
+	if nnls.Solver(9).String() != "Solver(9)" {
 		t.Error("unknown Solver String mismatch")
 	}
 }
 
 // Property: for any positive basis and any non-negative mixing weights, both
-// solvers return non-negative w with residual below the trivial w=0 residual.
+// solvers return non-negative w with residual below the trivial w=0
+// residual, and the active-set answer is certified optimal.
 func TestPropertySolveImprovesOverZero(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -213,8 +256,8 @@ func TestPropertySolveImprovesOverZero(t *testing.T) {
 		if zeroResidual == 0 {
 			return true
 		}
-		for _, solver := range []Solver{Multiplicative, ProjectedGradient} {
-			res, err := Solve(s, psi, Config{Solver: solver, MaxIter: 200})
+		for _, solver := range []nnls.Solver{nnls.ActiveSet, nnls.Multiplicative} {
+			res, err := nnls.Solve(s, psi, nnls.Config{Solver: solver, MaxIter: 200})
 			if err != nil {
 				return false
 			}
@@ -224,6 +267,9 @@ func TestPropertySolveImprovesOverZero(t *testing.T) {
 				}
 			}
 			if res.Residual > zeroResidual {
+				return false
+			}
+			if solver == nnls.ActiveSet && nnlstest.Violation(psi, s, res.W) > nnlstest.Tol {
 				return false
 			}
 		}
@@ -245,12 +291,12 @@ func TestSolveBatchParallelMatchesSequential(t *testing.T) {
 		}
 		states.SetRow(i, mix(w, psi))
 	}
-	seqW, seqR, err := SolveBatch(states, psi, Config{})
+	seqW, seqR, err := nnls.SolveBatch(states, psi, nnls.Config{})
 	if err != nil {
 		t.Fatalf("SolveBatch: %v", err)
 	}
 	for _, workers := range []int{0, 1, 2, 3, 4, runtime.GOMAXPROCS(0), 64} {
-		parW, parR, err := SolveBatchParallel(states, psi, Config{}, workers)
+		parW, parR, err := nnls.SolveBatchParallel(states, psi, nnls.Config{}, workers)
 		if err != nil {
 			t.Fatalf("SolveBatchParallel(%d): %v", workers, err)
 		}
@@ -267,7 +313,122 @@ func TestSolveBatchParallelMatchesSequential(t *testing.T) {
 
 func TestSolveBatchParallelShapeMismatch(t *testing.T) {
 	psi := randomBasis(t, 3, 10, 11)
-	if _, _, err := SolveBatchParallel(mat.MustNew(5, 7), psi, Config{}, 2); !errors.Is(err, ErrShape) {
+	if _, _, err := nnls.SolveBatchParallel(mat.MustNew(5, 7), psi, nnls.Config{}, 2); !errors.Is(err, nnls.ErrShape) {
 		t.Errorf("err = %v, want ErrShape", err)
+	}
+}
+
+// TestActiveSetRankOneBadlyScaled: identical basis rows with entries near
+// 4e15 give a rank-1 Gram with entries near 1e32. Every tolerance must be
+// scale-free: a positive state has a non-zero optimum, the least-squares
+// projection onto the single direction, and the dependent columns must not
+// stall the solve.
+func TestActiveSetRankOneBadlyScaled(t *testing.T) {
+	const r, m = 3, 10
+	psi := mat.MustNew(r, m)
+	row := make([]float64, m)
+	s := make([]float64, m)
+	var rs, rr float64
+	for k := range row {
+		row[k] = 4e15 * (1 + float64(k)/m)
+		s[k] = 0.2 + 0.05*float64(k%3)
+		rs += row[k] * s[k]
+		rr += row[k] * row[k]
+	}
+	for i := 0; i < r; i++ {
+		psi.SetRow(i, row)
+	}
+	res := solveExact(t, s, psi)
+	var sum float64
+	for _, w := range res.W {
+		sum += w
+	}
+	if sum == 0 {
+		t.Fatal("w = 0 for a positive state")
+	}
+	if want := rs / rr; math.Abs(sum-want) > 1e-9*want {
+		t.Errorf("Σw = %v, want the projection coefficient %v", sum, want)
+	}
+	if res.Iterations >= r+2 {
+		t.Errorf("%d outer steps on a rank-1 problem of rank %d", res.Iterations, r)
+	}
+}
+
+// TestActiveSetDependentRows: a basis row that is exactly twice another
+// makes G singular. The dependent column's Cholesky pivot collapses and it
+// is skipped; the fit is still exact and certified.
+func TestActiveSetDependentRows(t *testing.T) {
+	psi := randomBasis(t, 4, 12, 12)
+	for k := 0; k < 12; k++ {
+		psi.Set(2, k, 2*psi.At(0, k))
+	}
+	s := mix([]float64{1, 0.5, 1, 0.25}, psi)
+	res := solveExact(t, s, psi)
+	if res.Residual > 1e-12*norm(s) {
+		t.Errorf("residual = %v, want an exact fit of ‖s‖ = %v", res.Residual, norm(s))
+	}
+	if res.Iterations >= 500 {
+		t.Errorf("solve hit the iteration cap")
+	}
+}
+
+// TestKKTViolation: the certificate scores an exact optimum at rounding
+// level and flags the ways a point can miss it.
+func TestKKTViolation(t *testing.T) {
+	psi := randomBasis(t, 5, 20, 13)
+	s := mix([]float64{0, 1.5, 0, 3, 0.25}, psi)
+	exact := solveExact(t, s, psi)
+	if v := nnlstest.Violation(psi, s, make([]float64, 5)); v != 1 {
+		t.Errorf("w = 0 under a positive state: violation %v, want 1 (max dual / max|b|)", v)
+	}
+	neg := append([]float64(nil), exact.W...)
+	neg[0] = -1e-3
+	if v := nnlstest.Violation(psi, s, neg); v <= nnlstest.Tol {
+		t.Errorf("negative weight passed the certificate: violation %v", v)
+	}
+	mu, err := nnls.Solve(s, psi, nnls.Config{Solver: nnls.Multiplicative, MaxIter: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := nnlstest.Violation(psi, s, mu.W); v <= 1e-6 {
+		t.Errorf("5 multiplicative sweeps certified as optimal: violation %v", v)
+	}
+}
+
+// TestActiveSetNearCollinearColumnSkipped: row 2 is row 0 plus a 1e-8
+// perturbation u chosen so that row 2 enters first (u·s > 0) and row 0
+// then has a positive dual (u·r < 0 for the residual r). Row 0's Cholesky
+// pivot collapses against row 2: the solver must skip it for that step
+// rather than retry it up to the iteration cap. The answer it keeps is
+// optimal to the perturbation's scale, not to rounding.
+func TestActiveSetNearCollinearColumnSkipped(t *testing.T) {
+	base := randomBasis(t, 2, 8, 14)
+	s := []float64{3, 1, 4, 1, 5, 9, 2, 6}
+	fit := solveExact(t, s, base)
+	r := make([]float64, len(s))
+	for k := range s {
+		r[k] = s[k] - fit.W[0]*base.At(0, k) - fit.W[1]*base.At(1, k)
+	}
+	psi := mat.MustNew(3, 8)
+	psi.SetRow(0, base.Row(0))
+	psi.SetRow(1, base.Row(1))
+	for k := range s {
+		psi.Set(2, k, base.At(0, k)+1e-8*(s[k]-1.5*r[k]))
+	}
+	res, err := nnls.Solve(s, psi, nnls.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations > 4 {
+		t.Errorf("%d outer steps for 3 columns: the collapsed column was retried", res.Iterations)
+	}
+	if res.W[2] == 0 {
+		t.Errorf("w = %v: row 2 should have entered first", res.W)
+	}
+	if res.Residual > fit.Residual*(1+1e-6) {
+		t.Errorf("residual %v, want within 1e-6 of the rows-0,1 optimum %v", res.Residual, fit.Residual)
+	}
+	if v := nnlstest.Violation(psi, s, res.W); v > 1e-6 {
+		t.Errorf("relative KKT violation %v, want at most the perturbation's scale", v)
 	}
 }

@@ -50,10 +50,12 @@ func (d *Diagnosis) Dominant() int {
 
 // DiagnoseConfig tunes inference.
 type DiagnoseConfig struct {
-	// Solver selects the NNLS algorithm; zero-value uses the
-	// multiplicative solver.
+	// Solver selects the NNLS algorithm; zero-value uses the exact
+	// active-set solver (nnls.ActiveSet). nnls.Multiplicative is the
+	// paper's update rule, kept for ablation.
 	Solver nnls.Solver
-	// MaxIter bounds solver iterations; 0 uses 500.
+	// MaxIter bounds solver iterations (active-set outer steps or
+	// multiplicative sweeps); 0 uses 500.
 	MaxIter int
 	// MinStrength zeroes weights below it in the ranking; ≤0 uses 1e-6.
 	MinStrength float64

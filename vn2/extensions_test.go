@@ -204,14 +204,8 @@ func TestPRREndToEndOnSimulatedEpochs(t *testing.T) {
 func TestDiagnoseBatchParallelMatchesSequential(t *testing.T) {
 	model, _ := trainSynth(t, 2000, TrainConfig{Rank: 4, Seed: 36})
 	states := synthStates(60, 37)
-	seq, err := model.DiagnoseBatch(states, DiagnoseConfig{})
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	par, err := model.DiagnoseBatch(states, DiagnoseConfig{Workers: 4})
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
+	seq := diagnoseBatch(t, model, states, DiagnoseConfig{})
+	par := diagnoseBatch(t, model, states, DiagnoseConfig{Workers: 4})
 	for i := range seq {
 		for j := range seq[i].Weights {
 			if seq[i].Weights[j] != par[i].Weights[j] {
@@ -246,10 +240,7 @@ func TestUpdateWarmStartsFromExistingModel(t *testing.T) {
 	s.Delta[metricspec.LoopCounter] = 45
 	s.Delta[metricspec.DuplicateCounter] = 130
 	s.Delta[metricspec.TransmitCounter] = 420
-	d, err := updated.Diagnose(s)
-	if err != nil {
-		t.Fatalf("Diagnose on updated: %v", err)
-	}
+	d := diagnose(t, updated, s)
 	if d.Dominant() < 0 {
 		t.Fatal("updated model found no cause for a loop state")
 	}

@@ -43,7 +43,7 @@ func TestDriftClassification(t *testing.T) {
 			t.Fatalf("epoch %d: hot flagged=%v alien flagged=%v, want both", epoch, hotObs.Flagged, alienObs.Flagged)
 		}
 	}
-	if _, err := m.Drain(); err != nil {
+	if _, err := drain(t, m); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 
@@ -92,7 +92,7 @@ func TestQuarantineBound(t *testing.T) {
 	for epoch := 1; epoch <= 11; epoch++ {
 		ingestOK(t, m, r.alien(3, epoch))
 	}
-	if _, err := m.Drain(); err != nil {
+	if _, err := drain(t, m); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 	ds := m.DriftStats()
@@ -121,7 +121,7 @@ func TestSwapModel(t *testing.T) {
 	for epoch := 1; epoch <= 5; epoch++ {
 		ingestOK(t, m, r.alien(4, epoch))
 	}
-	if _, err := m.Drain(); err != nil {
+	if _, err := drain(t, m); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 	if m.DriftStats().Window == 0 {
@@ -157,7 +157,7 @@ func TestSwapModel(t *testing.T) {
 		_ = obs // first report for node 9; follow with a second to derive a state
 	}
 	ingestOK(t, m, r.hot(9, 4))
-	if _, err := m.Drain(); err != nil {
+	if _, err := drain(t, m); err != nil {
 		t.Fatalf("Drain after swap: %v", err)
 	}
 	if ds := m.DriftStats(); ds.ModelVersion != 2 || ds.Window == 0 {
@@ -172,7 +172,7 @@ func TestDriftStateRoundTrip(t *testing.T) {
 		ingestOK(t, m, r.hot(1, epoch))
 		ingestOK(t, m, r.alien(2, epoch))
 	}
-	if _, err := m.Drain(); err != nil {
+	if _, err := drain(t, m); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 	want := m.DriftStats()
@@ -213,7 +213,7 @@ func TestRestoreValidatesDriftShapes(t *testing.T) {
 		m := newTestMonitor(t, Config{})
 		ingestOK(t, m, r.hot(1, 1))
 		ingestOK(t, m, r.hot(1, 2))
-		if _, err := m.Drain(); err != nil {
+		if _, err := drain(t, m); err != nil {
 			t.Fatalf("Drain: %v", err)
 		}
 		return m.State()

@@ -428,10 +428,11 @@ func (m *Monitor) Ingest(rec trace.Record) (Observation, error) {
 }
 
 // Drain diagnoses everything flagged since the last drain in one parallel
-// NNLS batch (nnls.SolveBatchParallel underneath) and folds the results
-// into the rolling per-epoch cause distributions. Ingest keeps flowing
-// while the solve runs. Returns the diagnosed states in ingest order; a nil
-// slice means there was nothing pending.
+// NNLS batch (nnls.SolveBatchParallel underneath, with the default exact
+// active-set solver) and folds the results into the rolling per-epoch
+// cause distributions. Ingest keeps flowing while the solve runs. Returns
+// the diagnosed states in ingest order; a nil slice means there was
+// nothing pending.
 func (m *Monitor) Drain() ([]Flagged, error) {
 	m.drainMu.Lock()
 	defer m.drainMu.Unlock()

@@ -2,11 +2,13 @@ package online
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"github.com/wsn-tools/vn2/internal/metricspec"
+	"github.com/wsn-tools/vn2/internal/nnls/nnlstest"
 	"github.com/wsn-tools/vn2/internal/packet"
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/vn2"
@@ -107,6 +109,25 @@ func (r testRig) hot(node packet.NodeID, epoch int) trace.Record {
 		v[k] += float64(epoch) * d
 	}
 	return trace.Record{Node: node, Epoch: epoch, Vector: v}
+}
+
+// drain is m.Drain with every returned diagnosis certified as the exact
+// NNLS optimum under the monitor's model. It reports with t.Errorf, so
+// concurrent drainers may call it.
+func drain(t *testing.T, m *Monitor) ([]Flagged, error) {
+	t.Helper()
+	m.mu.Lock()
+	model := m.model
+	m.mu.Unlock()
+	out, err := m.Drain()
+	for _, f := range out {
+		s := make([]float64, len(f.State.Delta))
+		for k, v := range f.State.Delta {
+			s[k] = math.Abs(v) / model.Scale[k]
+		}
+		nnlstest.AssertKKT(t, model.Psi, s, f.Diagnosis.Weights)
+	}
+	return out, err
 }
 
 func newTestMonitor(t *testing.T, cfg Config) *Monitor {
@@ -225,7 +246,7 @@ func TestDrainDiagnosesAndAggregates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, err := m.Drain()
+	out, err := drain(t, m)
 	if err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
@@ -244,7 +265,7 @@ func TestDrainDiagnosesAndAggregates(t *testing.T) {
 		}
 	}
 	// Empty drain is a no-op.
-	if out, err := m.Drain(); err != nil || out != nil {
+	if out, err := drain(t, m); err != nil || out != nil {
 		t.Fatalf("empty drain: out=%v err=%v", out, err)
 	}
 
@@ -292,7 +313,7 @@ func TestBacklogBoundAndDrop(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 	// Draining frees the backlog; ingest works again.
-	if _, err := m.Drain(); err != nil {
+	if _, err := drain(t, m); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Ingest(r.hot(1, 5)); err != nil {
@@ -310,7 +331,7 @@ func TestHistoryPruningAndRecentRing(t *testing.T) {
 		if _, err := m.Ingest(r.hot(1, e)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Drain(); err != nil {
+		if _, err := drain(t, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -377,7 +398,7 @@ func TestConcurrentIngestDrainSnapshot(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := m.Drain(); err != nil {
+				if _, err := drain(t, m); err != nil {
 					t.Errorf("drain: %v", err)
 					return
 				}
@@ -389,7 +410,7 @@ func TestConcurrentIngestDrainSnapshot(t *testing.T) {
 	close(done)
 	drainWG.Wait()
 	// Final drain picks up stragglers.
-	if _, err := m.Drain(); err != nil {
+	if _, err := drain(t, m); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Stats()

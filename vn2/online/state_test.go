@@ -63,7 +63,7 @@ func TestStateRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := m.Drain(); err != nil {
+	if _, err := drain(t, m); err != nil {
 		t.Fatal(err)
 	}
 	// Leave two states pending so the backlog round-trips too.
@@ -106,7 +106,7 @@ func TestStateRoundTrip(t *testing.T) {
 		if _, err := mm.Ingest(r.hot(3, 33)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := mm.Drain(); err != nil {
+		if _, err := drain(t, mm); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,12 +152,12 @@ func TestEpochDistributionDrainOrderInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			if drainAfterEach {
-				if _, err := m.Drain(); err != nil {
+				if _, err := drain(t, m); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		if _, err := m.Drain(); err != nil {
+		if _, err := drain(t, m); err != nil {
 			t.Fatal(err)
 		}
 		return m.Snapshot().Epochs

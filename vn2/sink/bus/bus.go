@@ -8,10 +8,13 @@
 //     subscriber owns a bounded ring buffer; when a slow consumer falls
 //     behind, its OLDEST buffered events are dropped and counted — the
 //     serving path is never the victim of a stuck dashboard.
-//   - No bus-level lock is held during fan-out. Publish assigns the
-//     sequence number and snapshots the subscriber list under the bus
-//     lock, releases it, and then touches each subscriber under that
-//     subscriber's own lock.
+//   - The bus state lock is not held during fan-out. Publish assigns the
+//     sequence number and snapshots the subscriber list under it,
+//     releases it, and then touches each subscriber under that
+//     subscriber's own lock. A separate publish lock, held across
+//     numbering and fan-out, keeps concurrent publishers from delivering
+//     to any subscriber out of Seq order; fan-out never blocks, so it is
+//     held only for O(subscribers) ring writes.
 //   - Events are totally ordered by Seq (assigned under the bus lock), so
 //     any two subscribers that both receive events A and B see them in the
 //     same order.
@@ -60,6 +63,7 @@ const eventOverhead = 96
 
 // Bus is the event fan-out. The zero value is not usable; construct with New.
 type Bus struct {
+	pubMu     sync.Mutex // serializes Publish: numbering plus fan-out
 	mu        sync.Mutex
 	seq       uint64
 	subs      map[*Sub]struct{}
@@ -112,6 +116,8 @@ func (b *Bus) Publish(typ string, version int, data any) (Event, error) {
 		b.encodeErr.Add(1)
 		return Event{}, err
 	}
+	b.pubMu.Lock()
+	defer b.pubMu.Unlock()
 	b.mu.Lock()
 	b.seq++
 	ev := Event{Seq: b.seq, Time: time.Now().UTC(), Type: typ, V: version, Data: raw}

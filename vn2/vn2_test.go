@@ -8,9 +8,46 @@ import (
 	"testing"
 
 	"github.com/wsn-tools/vn2/internal/metricspec"
+	"github.com/wsn-tools/vn2/internal/nnls/nnlstest"
 	"github.com/wsn-tools/vn2/internal/packet"
 	"github.com/wsn-tools/vn2/internal/trace"
 )
+
+// diagnose is Model.Diagnose with the answer certified as the exact
+// optimum of Problem 3.
+func diagnose(t *testing.T, m *Model, state trace.StateVector) *Diagnosis {
+	t.Helper()
+	d, err := m.Diagnose(state)
+	if err != nil {
+		t.Fatalf("Diagnose: %v", err)
+	}
+	assertKKT(t, m, state, d.Weights)
+	return d
+}
+
+// diagnoseBatch is Model.DiagnoseBatch with every answer certified.
+func diagnoseBatch(t *testing.T, m *Model, states []trace.StateVector, cfg DiagnoseConfig) []*Diagnosis {
+	t.Helper()
+	ds, err := m.DiagnoseBatch(states, cfg)
+	if err != nil {
+		t.Fatalf("DiagnoseBatch: %v", err)
+	}
+	for i, d := range ds {
+		assertKKT(t, m, states[i], d.Weights)
+	}
+	return ds
+}
+
+// assertKKT certifies w as the optimum for state in the model's normalized
+// space.
+func assertKKT(t *testing.T, m *Model, state trace.StateVector, w []float64) {
+	t.Helper()
+	s, err := m.normalize(state.Delta)
+	if err != nil {
+		t.Fatalf("normalize: %v", err)
+	}
+	nnlstest.AssertKKT(t, m.Psi, s, w)
+}
 
 // synthStates builds a training set with three planted fault archetypes on
 // top of calm background states, so the factorization has real structure
@@ -177,14 +214,8 @@ func TestDiagnoseRecoversPlantedCause(t *testing.T) {
 		}
 		return trace.StateVector{Node: 99, Epoch: 100, Gap: 1, Delta: delta}
 	}
-	dContention, err := model.Diagnose(mk(0))
-	if err != nil {
-		t.Fatalf("Diagnose: %v", err)
-	}
-	dLoop, err := model.Diagnose(mk(1))
-	if err != nil {
-		t.Fatalf("Diagnose: %v", err)
-	}
+	dContention := diagnose(t, model, mk(0))
+	dLoop := diagnose(t, model, mk(1))
 	if dContention.Dominant() < 0 || dLoop.Dominant() < 0 {
 		t.Fatal("no dominant cause inferred")
 	}
@@ -193,7 +224,7 @@ func TestDiagnoseRecoversPlantedCause(t *testing.T) {
 	}
 	// The two diagnoses must be stable: diagnosing the same state twice
 	// gives identical weights.
-	d2, _ := model.Diagnose(mk(1))
+	d2 := diagnose(t, model, mk(1))
 	for j := range dLoop.Weights {
 		if dLoop.Weights[j] != d2.Weights[j] {
 			t.Fatal("diagnosis not deterministic")
@@ -204,10 +235,7 @@ func TestDiagnoseRecoversPlantedCause(t *testing.T) {
 func TestDiagnoseNormalStateIsQuiet(t *testing.T) {
 	model, _ := trainSynth(t, 3000, TrainConfig{Rank: 5, Seed: 6})
 	calm := trace.StateVector{Node: 1, Epoch: 9, Gap: 1, Delta: make([]float64, metricspec.MetricCount)}
-	d, err := model.Diagnose(calm)
-	if err != nil {
-		t.Fatalf("Diagnose: %v", err)
-	}
+	d := diagnose(t, model, calm)
 	var total float64
 	for _, w := range d.Weights {
 		total += w
@@ -215,7 +243,7 @@ func TestDiagnoseNormalStateIsQuiet(t *testing.T) {
 	// Faulty states for comparison.
 	hot := trace.StateVector{Node: 1, Epoch: 9, Gap: 1, Delta: make([]float64, metricspec.MetricCount)}
 	hot.Delta[metricspec.NOACKRetransmitCounter] = 300
-	dh, _ := model.Diagnose(hot)
+	dh := diagnose(t, model, hot)
 	var hotTotal float64
 	for _, w := range dh.Weights {
 		hotTotal += w
@@ -246,18 +274,12 @@ func TestDiagnoseErrors(t *testing.T) {
 func TestDiagnoseBatchMatchesSingle(t *testing.T) {
 	model, _ := trainSynth(t, 2000, TrainConfig{Rank: 5, Seed: 10})
 	states := synthStates(30, 77)
-	batch, err := model.DiagnoseBatch(states, DiagnoseConfig{})
-	if err != nil {
-		t.Fatalf("DiagnoseBatch: %v", err)
-	}
+	batch := diagnoseBatch(t, model, states, DiagnoseConfig{})
 	if len(batch) != len(states) {
 		t.Fatalf("batch = %d", len(batch))
 	}
 	for i := 0; i < 5; i++ {
-		single, err := model.Diagnose(states[i])
-		if err != nil {
-			t.Fatalf("Diagnose: %v", err)
-		}
+		single := diagnose(t, model, states[i])
 		for j := range single.Weights {
 			if math.Abs(single.Weights[j]-batch[i].Weights[j]) > 1e-9 {
 				t.Fatalf("batch diverges from single at state %d cause %d", i, j)
@@ -298,7 +320,10 @@ func TestCorrelationMatrixShape(t *testing.T) {
 		t.Fatalf("CorrelationMatrix: %v", err)
 	}
 	if cm.Rows() != 25 || cm.Cols() != 4 {
-		t.Errorf("shape %dx%d", cm.Rows(), cm.Cols())
+		t.Fatalf("shape %dx%d", cm.Rows(), cm.Cols())
+	}
+	for i, st := range states {
+		assertKKT(t, model, st, cm.RawRow(i))
 	}
 	if !cm.NonNegative() {
 		t.Error("correlation strengths must be non-negative")
@@ -338,10 +363,7 @@ func TestExplainLoopCauseMentionsLoopHazard(t *testing.T) {
 	s.Delta[metricspec.DuplicateCounter] = 130
 	s.Delta[metricspec.TransmitCounter] = 420
 	s.Delta[metricspec.OverflowDropCounter] = 33
-	d, err := model.Diagnose(s)
-	if err != nil {
-		t.Fatalf("Diagnose: %v", err)
-	}
+	d := diagnose(t, model, s)
 	exp, err := model.Explain(d.Dominant(), 6)
 	if err != nil {
 		t.Fatalf("Explain: %v", err)
@@ -401,10 +423,7 @@ func TestRebootSignatureIsNegative(t *testing.T) {
 	s.Delta[metricspec.Uptime] = -32000
 	s.Delta[metricspec.TransmitCounter] = -2100
 	s.Delta[metricspec.ReceiveCounter] = -1600
-	d, err := model.Diagnose(s)
-	if err != nil {
-		t.Fatalf("Diagnose: %v", err)
-	}
+	d := diagnose(t, model, s)
 	sig, err := model.Signature(d.Dominant())
 	if err != nil {
 		t.Fatalf("Signature: %v", err)
@@ -429,11 +448,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// A diagnosis through the loaded model must match the original.
 	s := synthStates(1, 99)[0]
-	a, _ := model.Diagnose(s)
-	b, err := loaded.Diagnose(s)
-	if err != nil {
-		t.Fatalf("Diagnose on loaded: %v", err)
-	}
+	a := diagnose(t, model, s)
+	b := diagnose(t, loaded, s)
 	for j := range a.Weights {
 		if a.Weights[j] != b.Weights[j] {
 			t.Fatal("loaded model diagnoses differently")
